@@ -181,12 +181,23 @@ func BenchmarkFFTPow2(b *testing.B) {
 	}
 }
 
-func BenchmarkFFTBluestein720(b *testing.B) {
-	// 720 is the paper's zonal extent (50 km mesh): not a power of two.
+func BenchmarkFFT720(b *testing.B) {
+	// 720 = 2⁴·3²·5 is the paper's zonal extent (50 km mesh).
 	p := NewPlan(720)
 	x := randomSignal(rand.New(rand.NewSource(8)), 720)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Forward(x)
+	}
+}
+
+func BenchmarkFFTBluestein1021(b *testing.B) {
+	// A prime length: the Bluestein fallback over a 5-smooth inner length.
+	p := NewPlan(1021)
+	x := randomSignal(rand.New(rand.NewSource(9)), 1021)
+	scratch := make([]complex128, p.ScratchLen())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.ForwardScratch(x, scratch)
 	}
 }

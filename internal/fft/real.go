@@ -112,8 +112,8 @@ func (p *RealPlan) Forward(src []float64, spec, scratch []complex128) {
 	for k := 1; k < m; k++ {
 		zk := z[k]
 		zmk := cmplx.Conj(z[m-k])
-		even := complex(0.5, 0) * (zk + zmk)
-		odd := complex(0, -0.5) * (zk - zmk)
+		even := scale(0.5, zk+zmk)
+		odd := mulNegI(scale(0.5, zk-zmk))
 		spec[k] = even + p.tw[k]*odd
 	}
 }
@@ -141,18 +141,21 @@ func (p *RealPlan) Inverse(spec []complex128, dst []float64, scratch []complex12
 	z := scratch[:m]
 	// Invert the split: E[k] = (X[k] + conj(X[m−k]))/2,
 	// O[k] = conj(w_k)·(X[k] − conj(X[m−k]))/2, Z[k] = E[k] + i·O[k].
+	// The half-length inverse runs as conj(DFT(conj(Z)))/m with both
+	// conjugations folded into the packing and unpacking loops.
 	x0, xm := real(spec[0]), real(spec[m])
-	z[0] = complex(0.5*(x0+xm), 0.5*(x0-xm))
+	z[0] = complex(0.5*(x0+xm), -0.5*(x0-xm))
 	for k := 1; k < m; k++ {
 		xk := spec[k]
 		xmk := cmplx.Conj(spec[m-k])
-		even := complex(0.5, 0) * (xk + xmk)
-		odd := complex(0.5, 0) * cmplx.Conj(p.tw[k]) * (xk - xmk)
-		z[k] = even + odd*complex(0, 1)
+		even := scale(0.5, xk+xmk)
+		odd := scale(0.5, cmplx.Conj(p.tw[k])*(xk-xmk))
+		z[k] = cmplx.Conj(even - mulNegI(odd))
 	}
-	p.half.InverseScratch(z, scratch[m:])
+	p.half.ForwardScratch(z, scratch[m:])
+	inv := 1 / float64(m)
 	for j := 0; j < m; j++ {
-		dst[2*j] = real(z[j])
-		dst[2*j+1] = imag(z[j])
+		dst[2*j] = real(z[j]) * inv
+		dst[2*j+1] = -imag(z[j]) * inv
 	}
 }

@@ -15,8 +15,9 @@ func randomReal(rng *rand.Rand, n int) []float64 {
 }
 
 // TestRealForwardMatchesComplex pins the half-spectrum forward transform
-// against the full complex path to 1e-12 over even, odd, power-of-two and
-// Bluestein lengths (96 and 720 are the meshes the filter actually runs).
+// against the full complex path to 1e-12 over even, odd, power-of-two,
+// 5-smooth and Bluestein lengths (96 and 720 are the meshes the filter
+// actually runs).
 func TestRealForwardMatchesComplex(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{1, 2, 3, 4, 6, 8, 12, 15, 27, 48, 64, 96, 100, 360, 720} {
@@ -62,7 +63,8 @@ func TestRealRoundTrip(t *testing.T) {
 // TestRealPlanZeroAlloc asserts the scratch-based real transform performs no
 // heap allocation — the property the allocation-free time step depends on.
 func TestRealPlanZeroAlloc(t *testing.T) {
-	for _, n := range []int{64, 96} { // pow2 and Bluestein halves
+	// pow2, 5-smooth halves (20, 24, 48, 360) and a Bluestein half (49)
+	for _, n := range []int{64, 40, 48, 96, 720, 98} {
 		rp := NewRealPlan(n)
 		x := randomReal(rand.New(rand.NewSource(13)), n)
 		spec := make([]complex128, rp.SpecLen())
@@ -77,18 +79,20 @@ func TestRealPlanZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestComplexScratchZeroAlloc asserts the Bluestein path is allocation-free
-// with caller scratch.
+// TestComplexScratchZeroAlloc asserts the Stockham and Bluestein paths are
+// allocation-free with caller scratch.
 func TestComplexScratchZeroAlloc(t *testing.T) {
-	p := NewPlan(96)
-	x := randomSignal(rand.New(rand.NewSource(14)), 96)
-	scratch := make([]complex128, p.ScratchLen())
-	allocs := testing.AllocsPerRun(100, func() {
-		p.ForwardScratch(x, scratch)
-		p.InverseScratch(x, scratch)
-	})
-	if allocs != 0 {
-		t.Errorf("%v allocs per forward+inverse, want 0", allocs)
+	for _, n := range []int{40, 48, 96, 720, 98} {
+		p := NewPlan(n)
+		x := randomSignal(rand.New(rand.NewSource(14)), n)
+		scratch := make([]complex128, p.ScratchLen())
+		allocs := testing.AllocsPerRun(100, func() {
+			p.ForwardScratch(x, scratch)
+			p.InverseScratch(x, scratch)
+		})
+		if allocs != 0 {
+			t.Errorf("n=%d: %v allocs per forward+inverse, want 0", n, allocs)
+		}
 	}
 }
 

@@ -417,6 +417,47 @@ func TestFilterRowMatchesComplexReference(t *testing.T) {
 	}
 }
 
+// TestFilterRowMatchesNaiveLowPass pins F̃ on every FFT path it can take —
+// radix-4/2 only (64), 5-smooth mixed radix (40, 48, 96, 720) and the
+// Bluestein fallback (98, whose half length is 7²) — against a low-pass
+// built on the O(n²) NaiveDFT, to 1e-12.
+func TestFilterRowMatchesNaiveLowPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, nx := range []int{40, 48, 64, 96, 720, 98} {
+		g := grid.New(nx, 16, 2)
+		f := New(g, 60)
+		for _, j := range []int{0, 1, g.Ny - 2, g.Ny - 1} {
+			if !f.Active(j) {
+				t.Fatalf("nx=%d: row %d unexpectedly unfiltered", nx, j)
+			}
+			row := make([]float64, nx)
+			x := make([]complex128, nx)
+			for i := range row {
+				row[i] = rng.NormFloat64()
+				x[i] = complex(row[i], 0)
+			}
+			coef := fft.NaiveDFT(x)
+			for m := f.MMax(j) + 1; m <= nx-f.MMax(j)-1; m++ {
+				coef[m] = 0
+			}
+			// Inverse DFT via conjugation: x = conj(DFT(conj(X)))/n.
+			for k := range coef {
+				coef[k] = cmplx.Conj(coef[k])
+			}
+			ref := fft.NaiveDFT(coef)
+
+			f.FilterRow(row, j)
+			for i := range row {
+				want := real(ref[i]) / float64(nx)
+				if d := math.Abs(row[i] - want); d > 1e-12 {
+					t.Fatalf("nx=%d row %d: FilterRow differs from naive low-pass at %d: %v vs %v (diff %g)",
+						nx, j, i, row[i], want, d)
+				}
+			}
+		}
+	}
+}
+
 func TestFilterRowZeroAlloc(t *testing.T) {
 	// The steady-state step depends on row filtering being allocation-free.
 	g := testGrid()

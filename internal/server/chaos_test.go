@@ -61,8 +61,9 @@ func maxDiffGlobal(a, b *checkpoint.Global) float64 {
 // under a crash+straggler+jitter plan all complete through automatic
 // checkpoint restarts, bitwise identical to a fault-free run.
 func TestChaosSoakYZ(t *testing.T) {
+	dir := t.TempDir()
 	s := newTestServer(t, Config{
-		Workers: 2, QueueCap: 8,
+		Workers: 2, QueueCap: 8, Dir: dir,
 		Chaos:   soakPlan(),
 		Restart: fastRestart(),
 	})
@@ -92,11 +93,10 @@ func TestChaosSoakYZ(t *testing.T) {
 		if st.Error != "" {
 			t.Errorf("job %s completed with residual error %q", j.ID, st.Error)
 		}
-		snap, step := j.latestSnapshot()
-		if step != 5 || snap == nil {
-			t.Fatalf("job %s final snapshot at step %d, want 5", j.ID, step)
+		if st.CkptStep != 5 {
+			t.Fatalf("job %s final snapshot at step %d, want 5", j.ID, st.CkptStep)
 		}
-		if !snap.Equal(ref) {
+		if !durableFinal(t, dir, j.ID).Equal(ref) {
 			t.Errorf("job %s final state differs from fault-free run (YZ restarts must be bitwise-exact)", j.ID)
 		}
 	}
@@ -113,8 +113,9 @@ func TestChaosSoakYZ(t *testing.T) {
 // Its lagged polar sum makes a mid-run restart only tolerance-exact, so the
 // completed state must match the fault-free run to 1e-6.
 func TestChaosSoakCA(t *testing.T) {
+	dir := t.TempDir()
 	s := newTestServer(t, Config{
-		Workers: 1, QueueCap: 4,
+		Workers: 1, QueueCap: 4, Dir: dir,
 		Chaos:   soakPlan(),
 		Restart: fastRestart(),
 	})
@@ -130,8 +131,7 @@ func TestChaosSoakCA(t *testing.T) {
 	if st.Restarts == 0 {
 		t.Errorf("CA job completed without restarting under a crash plan")
 	}
-	snap, _ := j.latestSnapshot()
-	if d := maxDiffGlobal(snap, refFinal(spec)); d > 1e-6 {
+	if d := maxDiffGlobal(durableFinal(t, dir, j.ID), refFinal(spec)); d > 1e-6 {
 		t.Errorf("CA chaos run differs from fault-free run by %g, want <= 1e-6", d)
 	}
 }
@@ -325,8 +325,7 @@ func TestRecoverIgnoresStaleTmp(t *testing.T) {
 	if fin.StepsDone != 4 {
 		t.Fatalf("resumed job finished at %d steps, want 4", fin.StepsDone)
 	}
-	fsnap, _ := r.latestSnapshot()
-	if !fsnap.Equal(refFinal(spec)) {
+	if !durableFinal(t, dir, j.ID).Equal(refFinal(spec)) {
 		t.Fatalf("recovered run differs from uninterrupted run")
 	}
 }

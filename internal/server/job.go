@@ -415,7 +415,10 @@ type Job struct {
 	mu    sync.Mutex
 	state JState //cadyvet:guardedby mu
 	// stepsDone counts cumulative completed steps over all segments;
-	// ckptStep is the boundary of the latest snapshot (0 = none).
+	// ckptStep is the boundary of the latest snapshot (0 = none). snap is
+	// that snapshot while the job can still resume; a completed job keeps
+	// its final state only on disk (<Dir>/<id>/snap.ck) and in the shared
+	// store.
 	stepsDone int                //cadyvet:guardedby mu
 	ckptStep  int                //cadyvet:guardedby mu
 	snap      *checkpoint.Global //cadyvet:guardedby mu

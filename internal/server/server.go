@@ -550,6 +550,7 @@ func (s *Server) runJob(j *Job) {
 	if j.Spec.Steps-segBase <= 0 {
 		j.mu.Lock()
 		j.state = JCompleted
+		j.snap = nil
 		j.finished = time.Now()
 		j.cancel = nil
 		j.mu.Unlock()
@@ -666,14 +667,16 @@ func (s *Server) runJob(j *Job) {
 			j.mu.Unlock()
 			return
 		}
-		// Ran to completion: record diagnostics and the final state as the
-		// job's last checkpoint.
+		// Ran to completion: record diagnostics and persist the final state
+		// as the job's last checkpoint. A completed job cannot be resumed,
+		// so the in-memory copy is released; snap.ck and the shared store
+		// keep the durable ones.
 		j.state = JCompleted
 		j.errMsg = "" // clear the abort message of a recovered crash
 		j.resumable = false
 		j.diags = diagnostics(g, res.Finals)
 		final := checkpoint.Gather(g, res.Finals)
-		j.snap = final
+		j.snap = nil
 		j.ckptStep = j.stepsDone
 		s.met.completed.Add(1)
 		s.persistSnapLocked(j, final)
@@ -1045,18 +1048,22 @@ func (s *Server) recover() error {
 				j.migrations = m.Migrations
 			}
 		}
-		if f, err := os.Open(filepath.Join(dir, "snap.ck")); err == nil {
-			if gl, err := checkpoint.Read(f); err == nil {
-				j.snap = gl
-			}
-			f.Close()
-		}
 		// A job that was mid-flight (or parked in a restart backoff) when
 		// the process died cannot still be running; surface it as
 		// interrupted and resumable.
 		if j.state == JQueued || j.state == JRunning || j.state == JRetrying {
 			j.state = JInterrupted
 			j.resumable = true
+		}
+		// Only a job that can still be resumed needs its checkpoint in
+		// memory; a completed job's final state stays on disk.
+		if j.state != JCompleted {
+			if f, err := os.Open(filepath.Join(dir, "snap.ck")); err == nil {
+				if gl, err := checkpoint.Read(f); err == nil {
+					j.snap = gl
+				}
+				f.Close()
+			}
 		}
 		if n, err := strconv.Atoi(strings.TrimPrefix(id, "j-")); err == nil && n > s.seq {
 			s.seq = n

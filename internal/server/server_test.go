@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -98,6 +100,57 @@ func refFinal(spec JobSpec) *checkpoint.Global {
 	hook := func(g *grid.Grid, st *state.State, step int) { hs.Apply(g, st, spec.Dt2) }
 	res := dycore.RunWithHook(set, g, comm.TianheLike(), heldsuarez.InitialState, spec.Steps, hook)
 	return checkpoint.Gather(g, res.Finals)
+}
+
+// durableFinal reads a job's persisted checkpoint, <dir>/<id>/snap.ck: the
+// only copy of a completed job's final state the server keeps.
+func durableFinal(t *testing.T, dir, id string) *checkpoint.Global {
+	t.Helper()
+	f, err := os.Open(filepath.Join(dir, id, "snap.ck"))
+	if err != nil {
+		t.Fatalf("open final checkpoint: %v", err)
+	}
+	defer f.Close()
+	gl, err := checkpoint.Read(f)
+	if err != nil {
+		t.Fatalf("read final checkpoint: %v", err)
+	}
+	return gl
+}
+
+// TestCompletedJobReleasesSnapshot: a completed job holds no state in
+// memory — its final state lives only in snap.ck, bitwise equal to an
+// uninterrupted run — and a restarted server does not load it back.
+func TestCompletedJobReleasesSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 2, Dir: dir})
+	spec := smallSpec(3)
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	st := waitState(t, s, j.ID, JCompleted)
+	if snap, step := j.latestSnapshot(); snap != nil || step != 3 {
+		t.Fatalf("completed job holds snapshot %v at step %d, want nil at 3", snap != nil, step)
+	}
+	if st.CkptStep != 3 {
+		t.Fatalf("completed job ckpt_step %d, want 3", st.CkptStep)
+	}
+	if !durableFinal(t, dir, j.ID).Equal(refFinal(spec)) {
+		t.Fatalf("snap.ck differs from the uninterrupted run (YZ must be bitwise-exact)")
+	}
+
+	s2 := newTestServer(t, Config{Workers: 1, QueueCap: 2, Dir: dir})
+	r, ok := s2.Get(j.ID)
+	if !ok {
+		t.Fatalf("job %s not recovered", j.ID)
+	}
+	if r.Status().State != JCompleted {
+		t.Fatalf("recovered job state %s, want completed", r.Status().State)
+	}
+	if snap, _ := r.latestSnapshot(); snap != nil {
+		t.Fatalf("recovery loaded a completed job's final state into memory")
+	}
 }
 
 func TestSubmitRunsToCompletion(t *testing.T) {
@@ -271,7 +324,8 @@ func waitQueueDrained(t *testing.T, s *Server) {
 // is checkpointed at its stop boundary, and resuming it reaches a final
 // state bitwise identical to an uninterrupted run.
 func TestCancelResumeEquivalence(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueCap: 4})
+	dir := t.TempDir()
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 4, Dir: dir})
 	spec := smallSpec(4)
 	spec.CheckpointEvery = 1
 	// Cancel exactly at boundary 2 of the first segment, from inside the
@@ -305,12 +359,11 @@ func TestCancelResumeEquivalence(t *testing.T) {
 		t.Fatalf("resumed job finished with steps_done %d attempts %d", st.StepsDone, st.Attempts)
 	}
 
-	snap, step := j.latestSnapshot()
-	if step != 4 || snap == nil {
-		t.Fatalf("final snapshot at step %d, want 4", step)
+	if st.CkptStep != 4 {
+		t.Fatalf("final snapshot at step %d, want 4", st.CkptStep)
 	}
 	spec.Steps = 4
-	if !snap.Equal(refFinal(spec)) {
+	if !durableFinal(t, dir, j.ID).Equal(refFinal(spec)) {
 		t.Fatalf("resumed final state differs from uninterrupted run (baseline restarts must be bitwise-exact)")
 	}
 	// Cumulative counters cover both segments.
@@ -407,8 +460,7 @@ func TestGracefulDrain(t *testing.T) {
 	waitState(t, s2, j2.ID, JCompleted)
 
 	// The interrupted-and-recovered run matches an uninterrupted one.
-	fsnap, _ := r1.latestSnapshot()
-	if !fsnap.Equal(refFinal(long)) {
+	if !durableFinal(t, dir, j1.ID).Equal(refFinal(long)) {
 		t.Fatalf("recovered run differs from uninterrupted run")
 	}
 }
