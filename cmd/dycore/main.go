@@ -58,7 +58,6 @@ func main() {
 	exactC := flag.Bool("exactc", false, "ablation: disable the approximate nonlinear iteration")
 	noOverlap := flag.Bool("nooverlap", false, "ablation: disable computation/communication overlap")
 	noFuse := flag.Bool("nofuse", false, "ablation: disable the fused former/later smoothing")
-	spectral := flag.Bool("spectral", false, "spectral smoothing fast path: composed-symbol FFT per zonal row (needs p_x = 1)")
 	timeline := flag.Bool("timeline", false, "print a per-rank ASCII timeline of the simulated run")
 	shiftPoles := flag.Bool("shiftpoles", false, "exact (antipodal-meridian) pole mirror; requires p_x = 1")
 	saveFile := flag.String("save", "", "write a restart checkpoint to this file at the end")
@@ -89,7 +88,6 @@ func main() {
 	cfg.M = *m
 	cfg.Dt1, cfg.Dt2 = *dt1, *dt2
 	cfg.ExactC, cfg.NoOverlap, cfg.NoFusedSmoothing = *exactC, *noOverlap, *noFuse
-	cfg.SpectralSmooth = *spectral
 	cfg.ShiftedPoleMirror = *shiftPoles
 
 	g := grid.New(*nx, *ny, *nz)
@@ -263,7 +261,8 @@ func main() {
 
 // finishRun writes the final checkpoint and prints the counter,
 // communication, timeline and diagnostic reports shared by the plain and
-// -rebalance run paths.
+// -rebalance run paths. A failed save or a non-finite final state exits 1:
+// a diverged run is never reported as a success.
 func finishRun(g *grid.Grid, saveFile string, res dycore.RunResult, rec *comm.Recorder) {
 	if saveFile != "" {
 		if err := writeCheckpoint(saveFile, checkpoint.Gather(g, res.Finals)); err != nil {
@@ -296,12 +295,17 @@ func finishRun(g *grid.Grid, saveFile string, res dycore.RunResult, rec *comm.Re
 	}
 
 	fmt.Printf("\n-- physical diagnostics --\n")
-	fmt.Printf("all finite: %v\n", diag.AllFinite(res.Finals))
+	finite := diag.AllFinite(res.Finals)
+	fmt.Printf("all finite: %v\n", finite)
 	fmt.Printf("mean surface pressure: %.2f hPa\n", diag.MeanSurfacePressure(g, res.Finals)/100)
 	fmt.Printf("global dry mass: %.6g kg\n", diag.GlobalDryMass(g, res.Finals))
 	fmt.Printf("max wind: %.2f m/s\n", diag.MaxWind(g, res.Finals))
 	fmt.Printf("kinetic energy: %.6g, available energy: %.6g\n",
 		diag.KineticEnergy(g, res.Finals), diag.AvailableEnergy(g, res.Finals))
+	if !finite {
+		fmt.Fprintln(os.Stderr, "dycore: final state is not finite (the run diverged)")
+		os.Exit(1)
+	}
 }
 
 // writeCheckpoint writes the snapshot durably through the blessed commit

@@ -9,9 +9,11 @@ package checkpoint
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc64"
 	"io"
+	"math"
 
 	"cadycore/internal/field"
 	"cadycore/internal/grid"
@@ -25,6 +27,11 @@ const (
 )
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
+
+// ErrNonFinite is returned (wrapped with the offending component and index)
+// by Write, and so by WriteAtomic and DirStore.Put, for a snapshot holding a
+// NaN or an infinity: a diverged state is never checkpointed.
+var ErrNonFinite = errors.New("checkpoint: state is not finite")
 
 // Global is a gathered, decomposition-independent snapshot of ξ.
 type Global struct {
@@ -103,9 +110,29 @@ func (gl *Global) InitFunc() func(g *grid.Grid, st *state.State) {
 	}
 }
 
+// checkFinite reports the first non-finite value as a wrapped ErrNonFinite.
+func (gl *Global) checkFinite() error {
+	for _, c := range []struct {
+		name string
+		arr  []float64
+	}{{"u", gl.U}, {"v", gl.V}, {"phi", gl.Phi}, {"psa", gl.Psa}} {
+		for i, v := range c.arr {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: %s[%d] = %g", ErrNonFinite, c.name, i, v)
+			}
+		}
+	}
+	return nil
+}
+
 // Write serializes the snapshot: header (magic, version, dims), the four
-// component arrays, and a trailing CRC64 of everything before it.
+// component arrays, and a trailing CRC64 of everything before it. A
+// non-finite snapshot is refused with ErrNonFinite before any byte is
+// written.
 func (gl *Global) Write(w io.Writer) error {
+	if err := gl.checkFinite(); err != nil {
+		return err
+	}
 	bw := bufio.NewWriter(w)
 	h := crc64.New(crcTable)
 	mw := io.MultiWriter(bw, h)

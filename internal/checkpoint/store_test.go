@@ -1,7 +1,9 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -135,4 +137,86 @@ func TestDirStoreRejectsBadKeys(t *testing.T) {
 			t.Fatalf("Latest accepted invalid key %q", key)
 		}
 	}
+}
+
+func TestNonFiniteSnapshotNeverWritten(t *testing.T) {
+	// A NaN or an infinity in any component is refused with ErrNonFinite
+	// before a byte is written — by Write itself and so by every durable
+	// path built on it — and the last good snapshot stays readable.
+	poisons := []struct {
+		name   string
+		poison func(gl *Global)
+	}{
+		{"u NaN", func(gl *Global) { gl.U[7] = math.NaN() }},
+		{"v +Inf", func(gl *Global) { gl.V[len(gl.V)-1] = math.Inf(1) }},
+		{"phi -Inf", func(gl *Global) { gl.Phi[0] = math.Inf(-1) }},
+		{"psa NaN", func(gl *Global) { gl.Psa[3] = math.NaN() }},
+	}
+	for _, tc := range poisons {
+		t.Run(tc.name, func(t *testing.T) {
+			good := storeSnap(t, 1)
+			bad := storeSnap(t, 1)
+			tc.poison(bad)
+
+			var buf bytes.Buffer
+			if err := bad.Write(&buf); !errors.Is(err, ErrNonFinite) {
+				t.Fatalf("Write: %v, want ErrNonFinite", err)
+			}
+			if buf.Len() != 0 {
+				t.Fatalf("Write emitted %d bytes of a poisoned snapshot", buf.Len())
+			}
+
+			dir := t.TempDir()
+			fresh := filepath.Join(dir, "fresh.ck")
+			if err := WriteAtomic(fresh, bad); !errors.Is(err, ErrNonFinite) {
+				t.Fatalf("WriteAtomic: %v, want ErrNonFinite", err)
+			}
+			for _, p := range []string{fresh, fresh + ".tmp"} {
+				if _, err := os.Stat(p); !os.IsNotExist(err) {
+					t.Fatalf("%s left behind (stat err %v)", filepath.Base(p), err)
+				}
+			}
+
+			// Over an existing good file the refusal leaves it untouched.
+			kept := filepath.Join(dir, "kept.ck")
+			if err := WriteAtomic(kept, good); err != nil {
+				t.Fatalf("WriteAtomic good: %v", err)
+			}
+			if err := WriteAtomic(kept, bad); !errors.Is(err, ErrNonFinite) {
+				t.Fatalf("WriteAtomic over good: %v, want ErrNonFinite", err)
+			}
+			if back := readFile(t, kept); !back.Equal(good) {
+				t.Fatal("refused write disturbed the previous snapshot")
+			}
+
+			s, err := NewDirStore(filepath.Join(dir, "store"))
+			if err != nil {
+				t.Fatalf("NewDirStore: %v", err)
+			}
+			if err := s.Put("job", 5, good); err != nil {
+				t.Fatalf("Put good: %v", err)
+			}
+			if err := s.Put("job", 10, bad); !errors.Is(err, ErrNonFinite) {
+				t.Fatalf("Put poisoned: %v, want ErrNonFinite", err)
+			}
+			gl, step, err := s.Latest("job")
+			if err != nil || step != 5 || !gl.Equal(good) {
+				t.Fatalf("Latest after refused Put: step %d err %v, want the step-5 snapshot", step, err)
+			}
+		})
+	}
+}
+
+func readFile(t *testing.T, path string) *Global {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	gl, err := Read(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gl
 }

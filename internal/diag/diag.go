@@ -165,7 +165,8 @@ func ZonalMeanT(g *grid.Grid, sts []*state.State) [][]float64 {
 }
 
 // MaxWind returns the largest physical wind speed component (m/s) — the CFL
-// monitor of long runs.
+// monitor of long runs. A NaN wind (or surface pressure) makes it NaN: a
+// diverged state must not read as calm.
 func MaxWind(g *grid.Grid, sts []*state.State) float64 {
 	m := 0.0
 	for _, st := range sts {
@@ -178,12 +179,12 @@ func MaxWind(g *grid.Grid, sts []*state.State) float64 {
 					if p <= 0 {
 						continue
 					}
-					if v := math.Abs(st.U.At(i, j, k)) / p; v > m {
-						m = v
+					u := math.Abs(st.U.At(i, j, k)) / p
+					v := math.Abs(st.V.At(i, j, k)) / p
+					if math.IsNaN(u) || math.IsNaN(v) {
+						return math.NaN()
 					}
-					if v := math.Abs(st.V.At(i, j, k)) / p; v > m {
-						m = v
-					}
+					m = math.Max(m, math.Max(u, v))
 				}
 			}
 		}

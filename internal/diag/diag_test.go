@@ -142,6 +142,25 @@ func TestMaxWind(t *testing.T) {
 	}
 }
 
+func TestMaxWindPropagatesNaN(t *testing.T) {
+	// Comparisons against NaN are false, so a plain running max would
+	// report a diverged state as calm (0 m/s). A NaN wind, or a NaN
+	// surface pressure under a finite wind, must come back as NaN.
+	g := testGrid()
+	st := serialState(g)
+	st.U.Set(5, 5, 2, 10*physics.PFromPs(physics.P0))
+	st.V.Set(4, 4, 1, math.NaN())
+	if mw := MaxWind(g, []*state.State{st}); !math.IsNaN(mw) {
+		t.Errorf("max wind with a NaN v = %v, want NaN", mw)
+	}
+	st = serialState(g)
+	st.U.Set(5, 5, 2, 10*physics.PFromPs(physics.P0))
+	st.Psa.Set(5, 5, math.NaN())
+	if mw := MaxWind(g, []*state.State{st}); !math.IsNaN(mw) {
+		t.Errorf("max wind over a NaN surface pressure = %v, want NaN", mw)
+	}
+}
+
 func TestAllFinite(t *testing.T) {
 	g := testGrid()
 	st := serialState(g)

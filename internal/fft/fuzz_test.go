@@ -100,8 +100,8 @@ func FuzzRealPlanRoundTrip(f *testing.F) {
 			}
 		}
 		// The imaginary parts of the DC and (even n) Nyquist bins must
-		// vanish for real input — the invariant the smoothing symbol
-		// multiply relies on when it scales bins by real factors.
+		// vanish for real input — the invariant the polar filter relies on
+		// when it scales bins by real factors.
 		if im := imag(spec[0]); im != 0 {
 			t.Fatalf("n=%d: DC bin has imaginary part %g", n, im)
 		}

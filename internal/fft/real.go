@@ -90,9 +90,9 @@ func (p *RealPlan) Forward(src []float64, spec, scratch []complex128) {
 		copy(spec, w[:p.SpecLen()])
 		// The DC coefficient of a real signal is Σ src — exactly real. The
 		// complex fallback leaves rounding dirt in its imaginary part (the
-		// even-n split path constructs it exactly real); clear it so
-		// consumers that scale bins by real factors (the polar filter, the
-		// spectral smoother) see the same invariant on every length.
+		// even-n split path constructs it exactly real); clear it so the
+		// polar filter, which scales bins by real factors, sees the same
+		// invariant on every length.
 		spec[0] = complex(real(spec[0]), 0)
 		return
 	}

@@ -657,6 +657,39 @@ func TestSharedKeyRejected(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestUnknownFieldsRejected: the coordinator decodes job and ensemble
+// submissions as strictly as the backends do — an unknown field is a 400
+// naming it, before anything is queued or fanned out.
+func TestUnknownFieldsRejected(t *testing.T) {
+	h := newFleetHarness(t, 1, 1, 4, nil)
+	job := map[string]any{"alg": "yz", "nx": 48, "ny": 24, "nz": 8, "pa": 2, "pb": 2, "m": 2, "stpes": 1}
+	ens := map[string]any{
+		"job":     map[string]any{"alg": "yz", "nx": 48, "ny": 24, "nz": 8, "pa": 2, "pb": 2, "m": 2, "steps": 1},
+		"members": 2,
+		"seeed":   3,
+	}
+	for _, tc := range []struct {
+		path, field string
+		body        any
+	}{{"/jobs", "stpes", job}, {"/ensembles", "seeed", ens}} {
+		resp := h.postJSON(t, tc.path, tc.body, "acme")
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s: status %d, want 400", tc.path, resp.StatusCode)
+		}
+		if !strings.Contains(string(b), tc.field) {
+			t.Errorf("POST %s: error %s does not name %q", tc.path, b, tc.field)
+		}
+	}
+	h.coord.mu.Lock()
+	n, ne := len(h.coord.jobs), len(h.coord.ensembles)
+	h.coord.mu.Unlock()
+	if n != 0 || ne != 0 {
+		t.Fatalf("rejected submissions created %d jobs and %d ensembles", n, ne)
+	}
+}
+
 // TestRendezvousStability: routing is consistent by job ID and covers all
 // backends across many IDs.
 func TestRendezvousStability(t *testing.T) {

@@ -110,7 +110,10 @@ func submitError(w http.ResponseWriter, err error) {
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec server.JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	// Strict like the backends' POST /jobs: unknown fields are a 400.
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid JSON: " + err.Error()})
 		return
 	}
@@ -225,7 +228,9 @@ func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleSubmitEnsemble(w http.ResponseWriter, r *http.Request) {
 	var es EnsembleSpec
-	if err := json.NewDecoder(r.Body).Decode(&es); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&es); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid JSON: " + err.Error()})
 		return
 	}

@@ -50,9 +50,6 @@ func NewSmoother(g *grid.Grid, beta float64) *Smoother {
 	return s
 }
 
-// Beta returns the smoothing coefficient.
-func (s *Smoother) Beta() float64 { return s.beta }
-
 // delta4X returns (δ⁴_λ φ) at (i, j, k): φ_{i−2} − 4φ_{i−1} + 6φ_i − 4φ_{i+1} + φ_{i+2}.
 func delta4X(f *field.F3, i, j, k int) float64 {
 	return f.At(i-2, j, k) - 4*f.At(i-1, j, k) + 6*f.At(i, j, k) - 4*f.At(i+1, j, k) + f.At(i+2, j, k)

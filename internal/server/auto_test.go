@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"cadycore/internal/checkpoint"
 	"cadycore/internal/tune"
 )
 
@@ -108,5 +109,70 @@ func TestAutoLayoutInfeasibleBudgetFailsAfterPlanning(t *testing.T) {
 	}
 	if final.Resumable {
 		t.Error("an unplannable job must not be resumable")
+	}
+}
+
+// TestRecoveredV3SpectralPlanResumesOnStencil: a job directory written
+// before the plan schema dropped its spectral-smoothing switch (a version-3
+// plan carrying "spectral": true in meta.json) still recovers, resumes from
+// its checkpoint in the recorded layout and completes on the stencil path —
+// bitwise equal to an uninterrupted Y-Z run. On-disk recovery stays lenient
+// about fields this build does not know; only live submissions are strict.
+func TestRecoveredV3SpectralPlanResumesOnStencil(t *testing.T) {
+	dir := t.TempDir()
+	spec := autoSpec(4)
+	spec.Nx, spec.Ny, spec.Nz = 48, 24, 8
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	// The layout the old plan recorded, as an explicit spec for the
+	// reference runs.
+	explicit := smallSpec(4)
+	explicit.Dt1, explicit.Dt2 = spec.Dt1, spec.Dt2
+	half := explicit
+	half.Steps = 2
+
+	id := "j-000001"
+	jdir := filepath.Join(dir, id)
+	if err := os.MkdirAll(jdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	specB, _ := json.Marshal(spec)
+	var specM map[string]any
+	json.Unmarshal(specB, &specM)
+	specM["retired_field"] = true
+	specB, _ = json.Marshal(specM)
+	metaB := []byte(`{"state": "running", "steps_done": 2, "checkpoint_step": 2, "attempts": 1,
+		"plan": {"version": 3, "mesh": [48, 24, 8], "procs": 4, "scheme": "yz", "pa": 2, "pb": 2,
+		         "m": 2, "workers": 1, "spectral": true, "halo_y": 2, "halo_z": 0,
+		         "predicted_step_s": 0.001, "refined": true, "profile_hash": "v3"}}`)
+	for name, b := range map[string][]byte{"spec.json": specB, "meta.json": metaB} {
+		//cadyvet:volatile forges the on-disk state an older build left behind; durability is not under test
+		if err := os.WriteFile(filepath.Join(jdir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := checkpoint.WriteAtomic(filepath.Join(jdir, "snap.ck"), refFinal(half)); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 4, Dir: dir})
+	j, ok := s.Get(id)
+	if !ok {
+		t.Fatalf("job %s with a version-3 plan not recovered", id)
+	}
+	if st := j.Status(); st.State != JInterrupted || !st.Resumable || st.Plan == nil ||
+		st.Plan.Scheme != tune.SchemeYZ || st.Plan.PA != 2 || st.Plan.PB != 2 {
+		t.Fatalf("recovered job: state %s resumable %v plan %+v", st.State, st.Resumable, st.Plan)
+	}
+	if _, err := s.Resume(id); err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	fin := waitState(t, s, id, JCompleted)
+	if fin.StepsDone != 4 || fin.Diagnostics["all_finite"] != 1 {
+		t.Fatalf("resumed job: %d steps, all_finite %v", fin.StepsDone, fin.Diagnostics["all_finite"])
+	}
+	if !durableFinal(t, dir, id).Equal(refFinal(explicit)) {
+		t.Fatal("resumed v3-plan job differs from the uninterrupted stencil run")
 	}
 }

@@ -59,7 +59,11 @@ func submitError(w http.ResponseWriter, err error) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	// Unknown fields are rejected, not ignored: a typo or a retired field
+	// gets a 400 naming it instead of a silently different job.
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid JSON: " + err.Error()})
 		return
 	}

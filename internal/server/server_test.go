@@ -276,6 +276,45 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsUnknownFields: live submissions decode strictly, so a
+// misspelled or retired field is a 400 naming it — at the top level and
+// inside nested objects — and no job is created.
+func TestSubmitRejectsUnknownFields(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 2})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	base := func() map[string]any {
+		return map[string]any{"alg": "yz", "nx": 48, "ny": 24, "nz": 8, "pa": 2, "pb": 2, "m": 2, "steps": 1}
+	}
+	typo := base()
+	delete(typo, "steps")
+	typo["stpes"] = 1
+	nested := base()
+	nested["rebalance"] = map[string]any{"windw": 4}
+	for field, body := range map[string]map[string]any{"stpes": typo, "windw": nested} {
+		resp := postJSON(t, ts, "/jobs", body)
+		var eb struct {
+			Error string `json:"error"`
+		}
+		json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", field, resp.StatusCode)
+		}
+		if !strings.Contains(eb.Error, `"`+field+`"`) {
+			t.Errorf("%s: error %q does not name the field", field, eb.Error)
+		}
+	}
+	if n := len(s.List()); n != 0 {
+		t.Fatalf("%d jobs created by rejected submissions", n)
+	}
+	// The well-formed spec is still accepted.
+	if st := decodeStatus(t, postJSON(t, ts, "/jobs", base())); st.ID == "" {
+		t.Fatal("well-formed submission not accepted")
+	}
+}
+
 func TestQueueFullRejects(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueCap: 1})
 	hold := make(chan struct{})

@@ -47,11 +47,6 @@ type Candidate struct {
 	// iterations and refreshes it ⌈M/s⌉ times per step with overlapped
 	// exchanges. Ignored by the baseline schemes.
 	Stage int
-	// Spectral turns on the composed-symbol spectral smoothing fast path
-	// (Config.SpectralSmooth). Only enumerated for the full-zonal-circle
-	// schemes (CA, YZ) — under SchemeXY no rank owns a whole x row and the
-	// switch would be inert.
-	Spectral bool
 	// RowStarts is the y-row partition (nil = uniform).
 	RowStarts []int
 }
@@ -63,9 +58,6 @@ func (c Candidate) Key() string {
 	fmt.Fprintf(&sb, "%s-%dx%d-m%d-w%d", c.Scheme, c.PA, c.PB, c.M, c.Workers)
 	if c.Stage > 0 {
 		fmt.Fprintf(&sb, "-s%d", c.Stage)
-	}
-	if c.Spectral {
-		sb.WriteString("-sp")
 	}
 	if c.RowStarts != nil {
 		sb.WriteString("-rows")
@@ -84,7 +76,6 @@ func (c Candidate) Setup(cfg dycore.Config) dycore.Setup {
 	if c.Scheme == SchemeCA {
 		cfg.StageM = c.Stage
 	}
-	cfg.SpectralSmooth = c.Spectral
 	return dycore.Setup{Alg: c.Scheme.Alg(), PA: c.PA, PB: c.PB, Cfg: cfg, RowStarts: c.RowStarts}
 }
 
@@ -110,9 +101,6 @@ type SearchOptions struct {
 	// NoStaged disables the staged-exchange (Candidate.Stage) variants of
 	// the communication-avoiding scheme.
 	NoStaged bool
-	// NoSpectral disables the spectral-smoothing (Candidate.Spectral)
-	// variants of the full-zonal-circle schemes.
-	NoSpectral bool
 }
 
 // minRowsCA is the minimum rows/layers per rank the communication-avoiding
@@ -122,8 +110,8 @@ const minRowsCA = 2
 // Candidates enumerates the search space for running cfg on an nx×ny×nz
 // mesh with exactly procs ranks. The order is deterministic: schemes in
 // {ca, yz, xy} order, factorizations by ascending PA, then M, workers,
-// full-depth before staged halos (ascending stage depth), stencil before
-// spectral smoothing, and uniform before weighted partitions.
+// full-depth before staged halos (ascending stage depth), and uniform
+// before weighted partitions.
 func Candidates(g *grid.Grid, procs int, cfg dycore.Config, prof Profile, opt SearchOptions) []Candidate {
 	ms := []int{cfg.M}
 	if opt.VaryM {
@@ -169,23 +157,14 @@ func Candidates(g *grid.Grid, procs int, cfg dycore.Config, prof Profile, opt Se
 						}
 					}
 					for _, s := range stages {
-						variants := []bool{false}
-						if scheme != SchemeXY && !opt.NoSpectral {
-							// Spectral smoothing variants: only where every
-							// rank owns full zonal circles (p_x = 1).
-							variants = append(variants, true)
-						}
-						for _, sp := range variants {
-							c := base
-							c.Stage = s
-							c.Spectral = sp
-							add(c)
-							if !opt.NoUnbalanced {
-								if rows := weightedRows(g, cfg, prof, c); rows != nil {
-									cw := c
-									cw.RowStarts = rows
-									add(cw)
-								}
+						c := base
+						c.Stage = s
+						add(c)
+						if !opt.NoUnbalanced {
+							if rows := weightedRows(g, cfg, prof, c); rows != nil {
+								cw := c
+								cw.RowStarts = rows
+								add(cw)
 							}
 						}
 					}
@@ -256,14 +235,7 @@ func rowWeights(g *grid.Grid, cfg dycore.Config, prof Profile, c Candidate) []fl
 	layers := float64(g.Nz) / float64(pz)
 	rowPoints := float64(nxLocal) * layers
 	k := prof.Kernels
-	smooth := rowPoints / k.Smooth
-	if c.Spectral {
-		// Composed-symbol path: the zonal convolution becomes one real-FFT
-		// round trip per (x, z)-pencil, priced at the calibrated FilterRow
-		// rate; only the meridional coupling stays on the Smooth rate.
-		smooth = rowPoints*spectralYRatio/k.Smooth + layers*rowCost(nxLocal)/k.FilterRow
-	}
-	stencil := rowPoints*(3*float64(c.M)/k.Adapt+3/k.Advect+float64(2*c.M)/k.CSum) + smooth
+	stencil := rowPoints*(3*float64(c.M)/k.Adapt+3/k.Advect+float64(2*c.M)/k.CSum) + rowPoints/k.Smooth
 	// Filtered tendencies per step: every adaptation and advection update
 	// filters ~3 field components.
 	apps := float64(3*c.M+3) * 3 * layers

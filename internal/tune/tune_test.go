@@ -1,6 +1,8 @@
 package tune
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -199,6 +201,44 @@ func TestPlanCacheHitAndMiss(t *testing.T) {
 	key2 := PlanKey(g.Nx, g.Ny, g.Nz, 4, cfg.M, 1, prof2.Hash())
 	if _, ok := pl.Cache.Get(key2); ok {
 		t.Fatal("cache hit for a different profile hash")
+	}
+}
+
+// TestPlanCacheReplansV3Spectral: a memo written before the plan schema
+// dropped its spectral-smoothing switch (version 3, "spectral": true) is a
+// miss — the planner re-plans and overwrites it with a current-version plan
+// instead of reusing the stale layout.
+func TestPlanCacheReplansV3Spectral(t *testing.T) {
+	g := grid.New(16, 12, 4)
+	prof := quickProfile()
+	cfg := planCfg()
+	pl := &Planner{Profile: prof, Cache: NewCache(t.TempDir()), TopK: -1}
+	key := PlanKey(g.Nx, g.Ny, g.Nz, 4, cfg.M, 1, prof.Hash())
+	stale := fmt.Sprintf(`{"version": 3, "mesh": [16, 12, 4], "procs": 4, "scheme": "yz",
+		"pa": 4, "pb": 1, "m": %d, "workers": 1, "spectral": true, "halo_y": 2, "halo_z": 0,
+		"predicted_step_s": 123, "refined": false, "profile_hash": %q}`, cfg.M, prof.Hash())
+	if err := writeFileAtomic(pl.Cache.path(key), []byte(stale)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := pl.Cache.Get(key); ok {
+		t.Fatal("version-3 plan served from the cache")
+	}
+	p, err := pl.Plan(g, 4, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Version != PlanVersion || p.PredictedStep == 123 {
+		t.Fatalf("planner reused the stale memo: %+v", p)
+	}
+	data, err := os.ReadFile(pl.Cache.path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte("spectral")) {
+		t.Fatalf("memo still carries the retired switch: %s", data)
+	}
+	if got, ok := pl.Cache.Get(key); !ok || !reflect.DeepEqual(got, p) {
+		t.Fatalf("memo not rewritten with the fresh plan: %+v", got)
 	}
 }
 
