@@ -193,7 +193,7 @@ func BenchmarkAdvectionKernel(b *testing.B) {
 	operators.CSum(g, nil, nil, divp, cres, blk.Owned(), 0, g.Nz)
 	cres.PWI.FillXPeriodic()
 	cres.DBar.FillXPeriodic()
-	field.FillPolesY(cres.PWI, field.Even, field.CenterY)
+	field.FillPolesY(cres.PWI, field.Even, field.CenterY, blk.Hy)
 	out := operators.NewTendency(blk)
 	// Persistent scratch, like the integrators hold — the nil-scratch
 	// Advection path is for one-shot/test use only.
@@ -229,6 +229,42 @@ func BenchmarkDivPKernel(b *testing.B) {
 		operators.DivP(g, st.U, st.V, sur, out, blk.Owned())
 	}
 	b.SetBytes(int64(8 * blk.Owned().Count()))
+}
+
+// BenchmarkFillLocalBounds times the local boundary fill on rank 0's block
+// of the ca_fig16 cell (96×48×12 on 4×4 Y-Z ranks, Algorithm 2's M = 3
+// halos): the whole-storage fill the step runs after each exchange, and the
+// fill after an update confined to the first adaptation rect.
+func BenchmarkFillLocalBounds(b *testing.B) {
+	g := grid.New(96, 48, 12)
+	hx, hy, hz := dycore.CommAvoidHalo(3)
+	blk := field.Block{
+		Nx: g.Nx, Ny: g.Ny, Nz: g.Nz,
+		I0: 0, I1: g.Nx, J0: 0, J1: g.Ny / 4, K0: 0, K1: g.Nz / 4,
+		Hx: hx, Hy: hy, Hz: hz,
+	}
+	st := state.New(blk)
+	heldsuarez.InitialState(g, st)
+	// The first adaptation update's rect: the owned block grown by the
+	// remaining deep-halo depth (3M − 1) in y and toward higher k, clamped
+	// to the domain.
+	r := blk.Owned()
+	r.J1 = min(r.J1+hy-3, g.Ny)
+	r.K1 = min(r.K1+hz-1, g.Nz)
+	for _, bc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"storage", st.FillLocalBounds},
+		{"update_rect", func() { st.FillLocalBoundsRect(r) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.fn()
+			}
+		})
+	}
 }
 
 func BenchmarkFilterSerial(b *testing.B) {

@@ -341,7 +341,7 @@ func main() {
 		operators.CSum(g, nil, nil, divp, cres, blk.Owned(), 0, g.Nz)
 		cres.PWI.FillXPeriodic()
 		cres.DBar.FillXPeriodic()
-		field.FillPolesY(cres.PWI, field.Even, field.CenterY)
+		field.FillPolesY(cres.PWI, field.Even, field.CenterY, blk.Hy)
 		out := operators.NewTendency(blk)
 		sc := operators.NewAdvScratch(blk)
 		b.ReportAllocs()

@@ -27,11 +27,7 @@ type Baseline struct {
 // Halo widths for the baseline: the per-update radii of the widest tables
 // (x from Tables 1/2, y from Table 3's smoothing, z from Tables 1/2).
 func baselineHalo() (hx, hy, hz int) {
-	r := stencil.Union(
-		stencil.RadiusOf(stencil.Adaptation),
-		stencil.RadiusOf(stencil.Advection),
-		stencil.RadiusOf(stencil.Smoothing),
-	)
+	r := stencil.ReadRadius()
 	return r.X, r.Y, r.Z
 }
 
@@ -86,7 +82,7 @@ func (b *Baseline) bootstrap() {
 	b.localFill(b.xi)
 	b.updateSurface(b.xi)
 	b.evalC(b.xi, b.cLast, b.tp.Block.Owned())
-	b.fillCBounds(b.cLast)
+	b.fillCBounds(b.cLast, b.tp.Block.WithHalo())
 }
 
 // exchange performs one stencil-radius halo exchange of st (plus the cached
@@ -192,7 +188,7 @@ func (b *Baseline) Step() {
 		b.adaptUpdate(b.eta1, b.psi, b.psi)
 		b.adaptUpdate(b.eta2, b.psi, b.eta1)
 		b.mid.Mean2Rect(b.psi, b.eta2, owned)
-		b.mid.FillLocalBounds()
+		b.fillUpdated(b.mid, owned)
 		b.adaptUpdate(b.psi, b.psi, b.mid) // ψ ← η3
 	}
 
@@ -200,7 +196,7 @@ func (b *Baseline) Step() {
 	b.advectUpdate(b.eta1, b.psi, b.psi)  // ζ1
 	b.advectUpdate(b.eta2, b.psi, b.eta1) // ζ2
 	b.mid.Mean2Rect(b.psi, b.eta2, owned)
-	b.mid.FillLocalBounds()
+	b.fillUpdated(b.mid, owned)
 	b.advectUpdate(b.psi, b.psi, b.mid) // ζ3
 
 	// Smoothing with its own exchange, overlapped with the interior sweep:

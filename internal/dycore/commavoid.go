@@ -316,12 +316,13 @@ func (ca *CommAvoid) Step() {
 		// their periodic x halos before the δ⁴_λ reads.
 		ca.origPhi.FillXPeriodic()
 		ca.origPsa.FillXPeriodic()
+		dy, _ := state.MirrorDepth()
 		if ca.cfg.ShiftedPoleMirror {
-			field.FillPolesYShifted(ca.origPhi, field.Even, field.CenterY)
-			field.FillPolesY2Shifted(ca.origPsa, field.Even)
+			field.FillPolesYShifted(ca.origPhi, field.Even, field.CenterY, dy)
+			field.FillPolesY2Shifted(ca.origPsa, field.Even, dy)
 		} else {
-			field.FillPolesY(ca.origPhi, field.Even, field.CenterY)
-			field.FillPolesY2(ca.origPsa, field.Even)
+			field.FillPolesY(ca.origPhi, field.Even, field.CenterY, dy)
+			field.FillPolesY2(ca.origPsa, field.Even, dy)
 		}
 		s2r := ca.expandAsym(ca.depthY, ca.depthY, 0, ca.depthZ)
 		w := ca.smo.P2Latter(ca.origPhi, ca.xi.Phi, s2r, ca.availYFn)
@@ -423,7 +424,7 @@ func (ca *CommAvoid) Step() {
 		u++
 		r = ca.region(u)
 		ca.mid.Mean2Rect(ca.psi, ca.eta2, r2)
-		ca.mid.FillLocalBounds()
+		ca.fillUpdated(ca.mid, r2)
 		ca.updateSurface(ca.mid)
 		ca.evalC(ca.mid, ca.cNew, r)
 		ca.adaptTendency(ca.mid, ca.cNew, r)
@@ -467,7 +468,7 @@ func (ca *CommAvoid) Step() {
 
 	// ζ3
 	ca.mid.Mean2Rect(ca.psi, ca.eta2, r)
-	ca.mid.FillLocalBounds()
+	ca.fillUpdated(ca.mid, r)
 	ca.updateSurface(ca.mid)
 	ca.advectTendency(ca.mid, ca.cLast, owned)
 	ca.filterTendency(owned)

@@ -70,6 +70,12 @@ type core struct {
 	advScW  []*operators.AdvScratch
 	parRes  []int
 
+	// afterRectFill, when set, runs after every fill confined to an update
+	// rect with the filled state (or Ĉ result) and that rect. It is a test
+	// seam: the ghost-read test poisons there every ghost the fill left
+	// unwritten. Nil in every run.
+	afterRectFill func(st *state.State, cr *operators.CRes, r field.Rect)
+
 	n Counters
 }
 
@@ -161,27 +167,50 @@ func (c *core) parKSum(r field.Rect, fn func(sub field.Rect, wid int) int) int {
 }
 
 // localFill refreshes all locally computable boundary values of st and of
-// the cached Ĉ fields.
+// the cached Ĉ fields over the whole storage.
 func (c *core) localFill(st *state.State) {
 	st.FillLocalBounds()
-	c.fillCBounds(c.cLast)
+	c.fillCBounds(c.cLast, c.tp.Block.WithHalo())
 }
 
-// fillCBounds refreshes the periodic-x halos of a Ĉ result (pole/vertical
-// ghosts of PWI are never read: σ̇ interfaces stay within [0, Nz], and the y
-// mirror of PWI follows the even mirror of its inputs).
-func (c *core) fillCBounds(cr *operators.CRes) {
+// fillUpdated refreshes the local ghosts of st after an update confined to
+// rect r (see state.FillLocalBoundsRect).
+//
+//cadyvet:allocfree
+func (c *core) fillUpdated(st *state.State, r field.Rect) {
+	st.FillLocalBoundsRect(r)
+	if c.afterRectFill != nil {
+		//cadyvet:allow test seam, nil in every run: the call never happens on the step path
+		c.afterRectFill(st, nil, r)
+	}
+}
+
+// fillCBounds refreshes the local ghosts of a Ĉ result computed over rect
+// r: the periodic-x halos of the rows written (PWI holds interfaces
+// r.K0 … r.K1, one more than the layers) and the pole mirrors within the
+// read depth. Vertical ghosts of PWI are never read: σ̇ interfaces stay
+// within [0, Nz].
+//
+//cadyvet:allocfree
+func (c *core) fillCBounds(cr *operators.CRes, r field.Rect) {
 	if c.tp.Block.OwnsFullX() && c.tp.Block.Hx > 0 {
-		cr.PWI.FillXPeriodic()
-		cr.DBar.FillXPeriodic()
+		ri := r
+		ri.K1++
+		cr.PWI.FillXPeriodicRows(ri)
+		cr.DBar.FillXPeriodicRows(r)
 	}
+	dy, _ := state.MirrorDepth()
 	if c.cfg.ShiftedPoleMirror {
-		field.FillPolesYShifted(cr.PWI, field.Even, field.CenterY)
-		field.FillPolesY2Shifted(cr.DBar, field.Even)
-		return
+		field.FillPolesYShifted(cr.PWI, field.Even, field.CenterY, dy)
+		field.FillPolesY2Shifted(cr.DBar, field.Even, dy)
+	} else {
+		field.FillPolesY(cr.PWI, field.Even, field.CenterY, dy)
+		field.FillPolesY2(cr.DBar, field.Even, dy)
 	}
-	field.FillPolesY(cr.PWI, field.Even, field.CenterY)
-	field.FillPolesY2(cr.DBar, field.Even)
+	if c.afterRectFill != nil {
+		//cadyvet:allow test seam, nil in every run: the call never happens on the step path
+		c.afterRectFill(nil, cr, r)
+	}
 }
 
 // evalC evaluates Ĉ at src over the tendency rect r: D(P) on r, then the
@@ -217,7 +246,7 @@ func (c *core) evalDivP(src *state.State, r field.Rect) {
 func (c *core) sumC(dst *operators.CRes, r field.Rect) {
 	w2 := operators.CSumWith(c.g, c.tp.ColZ, c.w, c.divp, dst, r, r.K0, r.K1, &c.csSc)
 	c.w.Compute(float64(w2) * costCSum)
-	c.fillCBounds(dst)
+	c.fillCBounds(dst, r)
 	c.n.CEvaluations++
 }
 
@@ -294,14 +323,14 @@ func (c *core) filterTendency(r field.Rect) {
 
 // applyUpdate sets dst ← base + dt·tendency over rect r (the tendency's
 // computed region — values outside it are stale-but-finite and are never
-// consumed), then refreshes dst's local boundary cells.
+// consumed), then refreshes the local ghosts of dst that depend on r.
 func (c *core) applyUpdate(dst, base *state.State, dt float64, r field.Rect) {
 	field.Lin2Rect(dst.U, 1, base.U, dt, c.tnd.DU, r)
 	field.Lin2Rect(dst.V, 1, base.V, dt, c.tnd.DV, r)
 	field.Lin2Rect(dst.Phi, 1, base.Phi, dt, c.tnd.DPhi, r)
 	field.Lin2Rect2(dst.Psa, 1, base.Psa, dt, c.tnd.DPsa, r)
 	c.w.Compute(float64(4*r.Count()) * costLincomb)
-	dst.FillLocalBounds()
+	c.fillUpdated(dst, r)
 }
 
 // expandInternal grows the owned rect by (dy, dz) into the halo, clamped to

@@ -99,8 +99,9 @@ func TestSmoothingSplitMatchesFull(t *testing.T) {
 			ca.localFill(ca.xi)
 			ca.origPhi.FillXPeriodic()
 			ca.origPsa.FillXPeriodic()
-			field.FillPolesY(ca.origPhi, field.Even, field.CenterY)
-			field.FillPolesY2(ca.origPsa, field.Even)
+			dy, _ := state.MirrorDepth()
+			field.FillPolesY(ca.origPhi, field.Even, field.CenterY, dy)
+			field.FillPolesY2(ca.origPsa, field.Even, dy)
 
 			s2r := ca.expandInternal(ca.depthY, ca.depthZ)
 			ca.smo.P2Latter(ca.origPhi, ca.xi.Phi, s2r, ca.availY)

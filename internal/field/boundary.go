@@ -33,9 +33,24 @@ const (
 	FaceY
 )
 
-// FillPolesY fills the y halo rows beyond the poles for blocks touching
-// them; interior blocks are untouched. For FaceY fields it also enforces the
-// physical polar condition V = 0 on the pole rows themselves.
+// Mirror depth. A boundary fill writes the ghost layers within depth of the
+// physical boundary — rows [−depth, 0) and [Ny, Ny+depth) in y, planes
+// [−depth, 0) and [Nz, Nz+depth) in z — clipped to the block's storage.
+// Compute regions never leave the global domain, so a caller passing its
+// stencils' read radius (stencil.ReadRadius) keeps every ghost a kernel can
+// read current; deeper ghosts of a deep-halo block are never read and are
+// left as they are. Passing the halo width fills the whole storage.
+
+// ghostSpan returns the stored range [lo, hi) of a direction with global
+// extent n and storage [sLo, sHi), cut to depth layers past each boundary.
+func ghostSpan(sLo, sHi, n, depth int) (lo, hi int) {
+	return max(sLo, -depth), min(sHi, n+depth)
+}
+
+// FillPolesY fills the y ghost rows within depth of the poles for blocks
+// whose storage extends past them; other blocks are untouched. For FaceY
+// fields it also enforces the physical polar condition V = 0 on the pole
+// rows themselves.
 //
 // CenterY mirror about the polar interface:  f(−1−m) = s·f(m),
 // f(Ny+m) = s·f(Ny−1−m).
@@ -45,7 +60,9 @@ const (
 //
 // The mirror sources may live in already-exchanged halo rows, so call this
 // *after* the y/z halo exchange.
-func FillPolesY(f *F3, p Parity, st Stagger) {
+//
+//cadyvet:allocfree
+func FillPolesY(f *F3, p Parity, st Stagger, depth int) {
 	b := f.B
 	s := float64(p)
 	ny := b.Ny
@@ -53,30 +70,30 @@ func FillPolesY(f *F3, p Parity, st Stagger) {
 	// extends past a pole, which with deep halos can happen even for blocks
 	// that do not own pole rows. Mirror sources are rows inside the domain,
 	// already valid after the halo exchange.
-	loGhost := b.J0 - b.Hy // lowest stored row
-	hiGhost := b.J1 + b.Hy // one past highest stored row
+	sLo, sHi := b.J0-b.Hy, b.J1+b.Hy
+	lo, hi := ghostSpan(sLo, sHi, ny, depth)
 	switch st {
 	case CenterY:
-		// f(−1−m) = s·f(m) for every stored row −1−m < 0.
-		for j := loGhost; j < 0; j++ {
+		// f(−1−m) = s·f(m) for every filled row −1−m < 0.
+		for j := lo; j < 0; j++ {
 			copyRowScaled(f, j, -1-j, s)
 		}
-		// f(ny+m) = s·f(ny−1−m) for every stored row ≥ ny.
-		for j := ny; j < hiGhost; j++ {
+		// f(ny+m) = s·f(ny−1−m) for every filled row ≥ ny.
+		for j := ny; j < hi; j++ {
 			copyRowScaled(f, j, 2*ny-1-j, s)
 		}
 	case FaceY:
 		// Row 0 is the north pole itself (V = 0); row ny the south pole.
-		if loGhost <= 0 && 0 < hiGhost {
+		if sLo <= 0 && 0 < sHi {
 			zeroRow(f, 0)
 		}
-		for j := loGhost; j < 0; j++ {
+		for j := lo; j < 0; j++ {
 			copyRowScaled(f, j, -j, s)
 		}
-		if loGhost <= ny && ny < hiGhost {
+		if sLo <= ny && ny < sHi {
 			zeroRow(f, ny)
 		}
-		for j := ny + 1; j < hiGhost; j++ {
+		for j := ny + 1; j < hi; j++ {
 			copyRowScaled(f, j, 2*ny-j, s)
 		}
 	}
@@ -84,30 +101,36 @@ func FillPolesY(f *F3, p Parity, st Stagger) {
 
 // FillPolesY2 is FillPolesY for 2-D fields (CenterY scalars only, which is
 // the only 2-D staggering the model uses).
-func FillPolesY2(f *F2, p Parity) {
+//
+//cadyvet:allocfree
+func FillPolesY2(f *F2, p Parity, depth int) {
 	b := f.B
 	s := float64(p)
 	ny := b.Ny
-	for j := b.J0 - b.Hy; j < 0; j++ {
+	lo, hi := ghostSpan(b.J0-b.Hy, b.J1+b.Hy, ny, depth)
+	for j := lo; j < 0; j++ {
 		copyRowScaled2(f, j, -1-j, s)
 	}
-	for j := ny; j < b.J1+b.Hy; j++ {
+	for j := ny; j < hi; j++ {
 		copyRowScaled2(f, j, 2*ny-1-j, s)
 	}
 }
 
-// FillVerticalZ fills the z halo layers beyond the model top (k < 0) and
-// bottom (k ≥ Nz) with a zero-gradient mirror: f(−1−m) = f(m),
+// FillVerticalZ fills the z ghost planes within depth of the model top
+// (k < 0) and bottom (k ≥ Nz) with a zero-gradient mirror: f(−1−m) = f(m),
 // f(Nz+m) = f(Nz−1−m). The physical boundary conditions σ̇ = 0 at σ = 0, 1
 // are enforced inside the vertical operators; the mirror only keeps stencil
 // sweeps branch-free.
-func FillVerticalZ(f *F3) {
+//
+//cadyvet:allocfree
+func FillVerticalZ(f *F3, depth int) {
 	b := f.B
 	nz := b.Nz
-	for k := b.K0 - b.Hz; k < 0; k++ {
+	lo, hi := ghostSpan(b.K0-b.Hz, b.K1+b.Hz, nz, depth)
+	for k := lo; k < 0; k++ {
 		copyPlaneZ(f, k, -1-k)
 	}
-	for k := nz; k < b.K1+b.Hz; k++ {
+	for k := nz; k < hi; k++ {
 		copyPlaneZ(f, k, 2*nz-1-k)
 	}
 }
@@ -118,51 +141,56 @@ func FillVerticalZ(f *F3) {
 // block to own full longitude circles (p_x = 1, the Y-Z decomposition) —
 // the shift is then a purely local copy. Scalars mirror evenly; wind
 // components flip sign (their basis vectors reverse across the pole).
-func FillPolesYShifted(f *F3, p Parity, st Stagger) {
+//
+//cadyvet:allocfree
+func FillPolesYShifted(f *F3, p Parity, st Stagger, depth int) {
 	b := f.B
 	if !b.OwnsFullX() {
 		panic("field: FillPolesYShifted requires full longitude circles per rank")
 	}
 	s := float64(p)
 	ny := b.Ny
-	loGhost := b.J0 - b.Hy
-	hiGhost := b.J1 + b.Hy
+	sLo, sHi := b.J0-b.Hy, b.J1+b.Hy
+	lo, hi := ghostSpan(sLo, sHi, ny, depth)
 	switch st {
 	case CenterY:
-		for j := loGhost; j < 0; j++ {
+		for j := lo; j < 0; j++ {
 			copyRowScaledShifted(f, j, -1-j, s)
 		}
-		for j := ny; j < hiGhost; j++ {
+		for j := ny; j < hi; j++ {
 			copyRowScaledShifted(f, j, 2*ny-1-j, s)
 		}
 	case FaceY:
-		if loGhost <= 0 && 0 < hiGhost {
+		if sLo <= 0 && 0 < sHi {
 			zeroRow(f, 0)
 		}
-		for j := loGhost; j < 0; j++ {
+		for j := lo; j < 0; j++ {
 			copyRowScaledShifted(f, j, -j, s)
 		}
-		if loGhost <= ny && ny < hiGhost {
+		if sLo <= ny && ny < sHi {
 			zeroRow(f, ny)
 		}
-		for j := ny + 1; j < hiGhost; j++ {
+		for j := ny + 1; j < hi; j++ {
 			copyRowScaledShifted(f, j, 2*ny-j, s)
 		}
 	}
 }
 
 // FillPolesY2Shifted is the 2-D counterpart.
-func FillPolesY2Shifted(f *F2, p Parity) {
+//
+//cadyvet:allocfree
+func FillPolesY2Shifted(f *F2, p Parity, depth int) {
 	b := f.B
 	if !b.OwnsFullX() {
 		panic("field: FillPolesY2Shifted requires full longitude circles per rank")
 	}
 	s := float64(p)
 	ny := b.Ny
-	for j := b.J0 - b.Hy; j < 0; j++ {
+	lo, hi := ghostSpan(b.J0-b.Hy, b.J1+b.Hy, ny, depth)
+	for j := lo; j < 0; j++ {
 		copyRowScaledShifted2(f, j, -1-j, s)
 	}
-	for j := ny; j < b.J1+b.Hy; j++ {
+	for j := ny; j < hi; j++ {
 		copyRowScaledShifted2(f, j, 2*ny-1-j, s)
 	}
 }

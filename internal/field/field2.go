@@ -77,9 +77,16 @@ func (f *F2) XOff(i int) int { return i - f.ox }
 // Origin returns the global index of Data[0].
 func (f *F2) Origin() (i, j int) { return f.ox, f.oy }
 
-// FillXPeriodic fills the x halo cells by local periodic copy (Y-Z
-// decomposition only; panics otherwise), covering halo rows in y as well.
-func (f *F2) FillXPeriodic() {
+// FillXPeriodic fills the x halo cells of every stored row by local
+// periodic copy (Y-Z decomposition only; panics otherwise):
+// FillXPeriodicRows over the whole storage.
+func (f *F2) FillXPeriodic() { f.FillXPeriodicRows(f.B.WithHalo()) }
+
+// FillXPeriodicRows fills the x halo cells of the rows j of r that lie in
+// storage (the x and k extents of r are ignored); see F3.FillXPeriodicRows.
+//
+//cadyvet:allocfree
+func (f *F2) FillXPeriodicRows(r Rect) {
 	if !f.B.OwnsFullX() {
 		panic("field: FillXPeriodic called on a block that does not own the full x circle")
 	}
@@ -88,11 +95,13 @@ func (f *F2) FillXPeriodic() {
 		return
 	}
 	nx := f.B.Nx
-	for lj := 0; lj < f.sy; lj++ {
-		row := lj * f.sx
+	j0, j1 := max(r.J0, f.oy), min(r.J1, f.oy+f.sy)
+	for j := j0; j < j1; j++ {
+		base := (j - f.oy) * f.sx
+		row := f.Data[base : base+f.sx]
 		for m := 0; m < h; m++ {
-			f.Data[row+m] = f.Data[row+nx+m]
-			f.Data[row+h+nx+m] = f.Data[row+h+m]
+			row[m] = row[nx+m]
+			row[h+nx+m] = row[h+m]
 		}
 	}
 }

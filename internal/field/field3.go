@@ -86,12 +86,20 @@ func (f *F3) Origin() (i, j, k int) { return f.ox, f.oy, f.oz }
 // SameShape reports whether g has an identical block (and therefore layout).
 func (f *F3) SameShape(g *F3) bool { return f.B == g.B }
 
-// FillXPeriodic fills the x halo cells by local periodic copy. It is valid
-// only when the block owns the full longitude circle (Y-Z decomposition);
-// otherwise it panics — x halos must then be filled by communication.
-// The copy covers the full y/z storage range (halo rows included) so that
-// subsequent y/z exchanges and corner fills remain consistent.
-func (f *F3) FillXPeriodic() {
+// FillXPeriodic fills the x halo cells of every stored row (halo rows in
+// y/z included) by local periodic copy: FillXPeriodicRows over the whole
+// storage.
+func (f *F3) FillXPeriodic() { f.FillXPeriodicRows(f.B.WithHalo()) }
+
+// FillXPeriodicRows fills the x halo cells of the rows (j, k) of r that lie
+// in storage by local periodic copy; the x extent of r is ignored. After an
+// update confined to r, only these rows changed, so only their halos need
+// refreshing. It is valid only when the block owns the full longitude
+// circle (Y-Z decomposition); otherwise it panics — x halos must then be
+// filled by communication.
+//
+//cadyvet:allocfree
+func (f *F3) FillXPeriodicRows(r Rect) {
 	if !f.B.OwnsFullX() {
 		panic("field: FillXPeriodic called on a block that does not own the full x circle")
 	}
@@ -100,13 +108,16 @@ func (f *F3) FillXPeriodic() {
 		return
 	}
 	nx := f.B.Nx
-	for lk := 0; lk < f.sz; lk++ {
-		for lj := 0; lj < f.sy; lj++ {
-			row := (lk*f.sy + lj) * f.sx
+	j0, j1 := max(r.J0, f.oy), min(r.J1, f.oy+f.sy)
+	k0, k1 := max(r.K0, f.oz), min(r.K1, f.oz+f.sz)
+	for k := k0; k < k1; k++ {
+		for j := j0; j < j1; j++ {
+			base := ((k-f.oz)*f.sy + (j - f.oy)) * f.sx
+			row := f.Data[base : base+f.sx]
 			// storage x layout: [0,h) left halo | [h, h+nx) owned | [h+nx, h+nx+h) right halo
 			for m := 0; m < h; m++ {
-				f.Data[row+m] = f.Data[row+nx+m]            // left halo ← rightmost owned
-				f.Data[row+h+nx+m] = f.Data[row+h+m]        // right halo ← leftmost owned
+				row[m] = row[nx+m]     // left halo ← rightmost owned
+				row[h+nx+m] = row[h+m] // right halo ← leftmost owned
 			}
 		}
 	}

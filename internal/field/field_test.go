@@ -275,7 +275,7 @@ func TestPoleMirrorCenterEven(t *testing.T) {
 			f.Set(i, j, 0, float64(10+j))
 		}
 	}
-	FillPolesY(f, Even, CenterY)
+	FillPolesY(f, Even, CenterY, b.Hy)
 	if f.At(0, -1, 0) != 10 || f.At(0, -2, 0) != 11 {
 		t.Errorf("north mirror: %v %v", f.At(0, -1, 0), f.At(0, -2, 0))
 	}
@@ -290,7 +290,7 @@ func TestPoleMirrorCenterOdd(t *testing.T) {
 	for j := 0; j < 6; j++ {
 		f.Set(3, j, 1, float64(1+j))
 	}
-	FillPolesY(f, Odd, CenterY)
+	FillPolesY(f, Odd, CenterY, b.Hy)
 	if f.At(3, -1, 1) != -1 {
 		t.Errorf("odd north mirror: %v", f.At(3, -1, 1))
 	}
@@ -307,7 +307,7 @@ func TestPoleMirrorFaceY(t *testing.T) {
 			f.Set(i, j, 0, float64(1+j))
 		}
 	}
-	FillPolesY(f, Odd, FaceY)
+	FillPolesY(f, Odd, FaceY, b.Hy)
 	// Row 0 is the pole itself: forced to zero.
 	if f.At(2, 0, 0) != 0 {
 		t.Errorf("pole row not zeroed: %v", f.At(2, 0, 0))
@@ -345,7 +345,7 @@ func TestPoleMirrorDeepHaloFromInteriorBlock(t *testing.T) {
 			f.Set(i, j, 0, float64(j+1))
 		}
 	}
-	FillPolesY(f, Even, CenterY)
+	FillPolesY(f, Even, CenterY, b.Hy)
 	if f.At(0, -1, 0) != 1 || f.At(0, -2, 0) != 2 {
 		t.Errorf("deep-halo pole mirror: %v %v", f.At(0, -1, 0), f.At(0, -2, 0))
 	}
@@ -361,7 +361,7 @@ func TestFillVerticalZ(t *testing.T) {
 			}
 		}
 	}
-	FillVerticalZ(f)
+	FillVerticalZ(f, b.Hz)
 	if f.At(0, 0, -1) != 1 || f.At(0, 0, -2) != 2 {
 		t.Errorf("top mirror: %v %v", f.At(0, 0, -1), f.At(0, 0, -2))
 	}
@@ -407,7 +407,7 @@ func TestF2FillXPeriodicAndPoles(t *testing.T) {
 	if f.At(-1, 3) != f.At(7, 3) || f.At(8, 3) != f.At(0, 3) {
 		t.Error("F2 periodic fill wrong")
 	}
-	FillPolesY2(f, Even)
+	FillPolesY2(f, Even, b.Hy)
 	if f.At(2, -1) != f.At(2, 0) || f.At(2, 6) != f.At(2, 5) {
 		t.Error("F2 pole mirror wrong")
 	}
@@ -444,7 +444,7 @@ func TestShiftedPoleMirrorField(t *testing.T) {
 			f.Set(i, j, 0, float64(10*j+i))
 		}
 	}
-	FillPolesYShifted(f, Even, CenterY)
+	FillPolesYShifted(f, Even, CenterY, b.Hy)
 	// Ghost at (i, −1) must hold the value from (i+Nx/2 mod Nx, 0).
 	for i := -2; i < 10; i++ { // including x halos of the ghost row
 		want := f.At(((i+4)%8+8)%8, 0, 0)
@@ -457,7 +457,7 @@ func TestShiftedPoleMirrorField(t *testing.T) {
 		t.Errorf("south shifted ghost: got %v want %v", got, want)
 	}
 	// Odd parity flips sign.
-	FillPolesYShifted(f, Odd, CenterY)
+	FillPolesYShifted(f, Odd, CenterY, b.Hy)
 	if got, want := f.At(0, -1, 0), -f.At(4, 0, 0); got != want {
 		t.Errorf("odd shifted ghost: got %v want %v", got, want)
 	}
@@ -470,5 +470,170 @@ func TestShiftedPoleMirrorField(t *testing.T) {
 			t.Error("partial-circle shifted mirror should panic")
 		}
 	}()
-	FillPolesYShifted(g2, Even, CenterY)
+	FillPolesYShifted(g2, Even, CenterY, part.Hy)
+}
+
+// deepBlock owns the whole 8×6×4 mesh under halos deeper than any stencil
+// reads, so every boundary has ghost layers past a mirror-depth cap.
+func deepBlock() Block {
+	return Block{Nx: 8, Ny: 6, Nz: 4, I0: 0, I1: 8, J0: 0, J1: 6, K0: 0, K1: 4, Hx: 2, Hy: 4, Hz: 3}
+}
+
+func randF3(b Block, seed int64) *F3 {
+	f := NewF3(b)
+	rng := rand.New(rand.NewSource(seed))
+	for i := range f.Data {
+		f.Data[i] = rng.NormFloat64()
+	}
+	return f
+}
+
+func randF2(b Block, seed int64) *F2 {
+	f := NewF2(b)
+	rng := rand.New(rand.NewSource(seed))
+	for i := range f.Data {
+		f.Data[i] = rng.NormFloat64()
+	}
+	return f
+}
+
+// TestMirrorDepthCapLeavesDeeperGhosts: a mirror capped at depth d writes
+// exactly what the full-depth mirror writes within d layers of the
+// boundary, and leaves every cell past the cap untouched.
+func TestMirrorDepthCapLeavesDeeperGhosts(t *testing.T) {
+	b := deepBlock()
+	s := b.WithHalo()
+	type fill3 struct {
+		name string
+		fn   func(f *F3, depth int)
+		full int
+		// within reports whether a stored (j, k) lies within depth of the
+		// boundary the fill mirrors across.
+		within func(j, k, depth int) bool
+	}
+	inY := func(j, _ int, d int) bool { return j >= -d && j < b.Ny+d }
+	inZ := func(_, k int, d int) bool { return k >= -d && k < b.Nz+d }
+	fills := []fill3{
+		{"poles-center-even", func(f *F3, d int) { FillPolesY(f, Even, CenterY, d) }, b.Hy, inY},
+		{"poles-face-odd", func(f *F3, d int) { FillPolesY(f, Odd, FaceY, d) }, b.Hy, inY},
+		{"poles-shifted-center", func(f *F3, d int) { FillPolesYShifted(f, Odd, CenterY, d) }, b.Hy, inY},
+		{"poles-shifted-face", func(f *F3, d int) { FillPolesYShifted(f, Odd, FaceY, d) }, b.Hy, inY},
+		{"vertical", FillVerticalZ, b.Hz, inZ},
+	}
+	for _, fl := range fills {
+		for d := 1; d <= fl.full; d++ {
+			orig := randF3(b, int64(d))
+			full, capped := orig.Clone(), orig.Clone()
+			fl.fn(full, fl.full)
+			fl.fn(capped, d)
+			for k := s.K0; k < s.K1; k++ {
+				for j := s.J0; j < s.J1; j++ {
+					want := orig
+					if fl.within(j, k, d) {
+						want = full
+					}
+					for i := s.I0; i < s.I1; i++ {
+						if capped.At(i, j, k) != want.At(i, j, k) {
+							t.Fatalf("%s depth %d: cell (%d,%d,%d) = %v, want %v (within cap: %v)",
+								fl.name, d, i, j, k, capped.At(i, j, k), want.At(i, j, k), fl.within(j, k, d))
+						}
+					}
+				}
+			}
+		}
+	}
+	fills2 := map[string]func(f *F2, depth int){
+		"poles2":         func(f *F2, d int) { FillPolesY2(f, Even, d) },
+		"poles2-shifted": func(f *F2, d int) { FillPolesY2Shifted(f, Odd, d) },
+	}
+	for name, fn := range fills2 {
+		for d := 1; d <= b.Hy; d++ {
+			orig := randF2(b, int64(d))
+			full, capped := orig.Clone(), orig.Clone()
+			fn(full, b.Hy)
+			fn(capped, d)
+			for j := s.J0; j < s.J1; j++ {
+				want := orig
+				if inY(j, 0, d) {
+					want = full
+				}
+				for i := s.I0; i < s.I1; i++ {
+					if capped.At(i, j) != want.At(i, j) {
+						t.Fatalf("%s depth %d: cell (%d,%d) = %v, want %v", name, d, i, j, capped.At(i, j), want.At(i, j))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFillXPeriodicRowsMatchesFullOnItsRows: the row-restricted wrap equals
+// the whole-storage wrap on the rows of its rect (clipped to storage) and
+// leaves every other row untouched.
+func TestFillXPeriodicRowsMatchesFullOnItsRows(t *testing.T) {
+	b := deepBlock()
+	s := b.WithHalo()
+	rects := []Rect{
+		{I0: 0, I1: 8, J0: 1, J1: 4, K0: 0, K1: 2},
+		{I0: 3, I1: 4, J0: -2, J1: 3, K0: -3, K1: 1}, // x extent is ignored
+		{J0: -100, J1: 100, K0: -100, K1: 100},       // clipped to storage
+		{J0: 2, J1: 2, K0: 0, K1: 4},                 // empty
+	}
+	for n, r := range rects {
+		orig := randF3(b, int64(n))
+		full, part := orig.Clone(), orig.Clone()
+		full.FillXPeriodic()
+		part.FillXPeriodicRows(r)
+		for k := s.K0; k < s.K1; k++ {
+			for j := s.J0; j < s.J1; j++ {
+				want := orig
+				if j >= r.J0 && j < r.J1 && k >= r.K0 && k < r.K1 {
+					want = full
+				}
+				for i := s.I0; i < s.I1; i++ {
+					if part.At(i, j, k) != want.At(i, j, k) {
+						t.Fatalf("rect %v: cell (%d,%d,%d) = %v, want %v", r, i, j, k, part.At(i, j, k), want.At(i, j, k))
+					}
+				}
+			}
+		}
+
+		orig2 := randF2(b, int64(n))
+		full2, part2 := orig2.Clone(), orig2.Clone()
+		full2.FillXPeriodic()
+		part2.FillXPeriodicRows(r)
+		for j := s.J0; j < s.J1; j++ {
+			want := orig2
+			if j >= r.J0 && j < r.J1 {
+				want = full2
+			}
+			for i := s.I0; i < s.I1; i++ {
+				if part2.At(i, j) != want.At(i, j) {
+					t.Fatalf("rect %v: 2-D cell (%d,%d) = %v, want %v", r, i, j, part2.At(i, j), want.At(i, j))
+				}
+			}
+		}
+	}
+}
+
+// TestBoundaryFillsDoNotAllocate: the fills run several times per step on
+// every rank, so they must stay off the heap.
+func TestBoundaryFillsDoNotAllocate(t *testing.T) {
+	b := deepBlock()
+	f, f2 := NewF3(b), NewF2(b)
+	r := Rect{I0: 0, I1: 8, J0: 1, J1: 4, K0: 0, K1: 2}
+	allocs := testing.AllocsPerRun(20, func() {
+		f.FillXPeriodicRows(r)
+		f2.FillXPeriodicRows(r)
+		f.FillXPeriodic()
+		f2.FillXPeriodic()
+		FillVerticalZ(f, 1)
+		FillPolesY(f, Odd, FaceY, 2)
+		FillPolesY2(f2, Even, 2)
+		FillPolesYShifted(f, Even, CenterY, 2)
+		FillPolesY2Shifted(f2, Even, 2)
+	})
+	if allocs != 0 {
+		t.Errorf("boundary fills allocate %v times per call set, want 0", allocs)
+	}
 }

@@ -48,13 +48,13 @@ func prepare(g *grid.Grid, st *state.State) (*Surface, *CRes, *field.F3) {
 	divp := field.NewF3(b)
 	owned := b.Owned()
 	DivP(g, st.U, st.V, sur, divp, owned)
-	field.FillVerticalZ(divp)
+	field.FillVerticalZ(divp, b.Hz)
 	cres := NewCRes(b)
 	CSum(g, nil, nil, divp, cres, owned, 0, g.Nz)
 	cres.PWI.FillXPeriodic()
 	cres.DBar.FillXPeriodic()
-	field.FillPolesY(cres.PWI, field.Even, field.CenterY)
-	field.FillPolesY2(cres.DBar, field.Even)
+	field.FillPolesY(cres.PWI, field.Even, field.CenterY, b.Hy)
+	field.FillPolesY2(cres.DBar, field.Even, b.Hy)
 	return sur, cres, divp
 }
 

@@ -12,6 +12,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -606,18 +607,25 @@ func mergeCounters(a, b dycore.Counters) dycore.Counters {
 	}
 }
 
-// diagnostics computes the physical health summary of a finished run.
+// diagnostics computes the physical health summary of a finished run. A
+// diverged run's sums are NaN or ±Inf, which JSON cannot encode: those are
+// left out, so the status stays readable and all_finite 0 tells why.
 func diagnostics(g *grid.Grid, finals []*state.State) map[string]float64 {
 	finite := 0.0
 	if diag.AllFinite(finals) {
 		finite = 1
 	}
-	return map[string]float64{
-		"all_finite":                finite,
+	d := map[string]float64{"all_finite": finite}
+	for k, v := range map[string]float64{
 		"mean_surface_pressure_hpa": diag.MeanSurfacePressure(g, finals) / 100,
 		"global_dry_mass_kg":        diag.GlobalDryMass(g, finals),
 		"max_wind_ms":               diag.MaxWind(g, finals),
 		"kinetic_energy":            diag.KineticEnergy(g, finals),
 		"available_energy":          diag.AvailableEnergy(g, finals),
+	} {
+		if !math.IsNaN(v) && !math.IsInf(v, 0) {
+			d[k] = v
+		}
 	}
+	return d
 }

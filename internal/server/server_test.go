@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -244,6 +245,57 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	resp, err = http.Get(ts.URL + "/healthz")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET healthz: %v status %d", err, resp.StatusCode)
+	}
+	resp.Body.Close()
+}
+
+// TestDivergedJobStaysReadable: a run far past the CFL limit ends with NaN
+// in its physical diagnostics, which JSON cannot encode. The job and list
+// endpoints must still answer 200 for every caller, report all_finite 0 and
+// leave the non-finite values out.
+func TestDivergedJobStaysReadable(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueCap: 4})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	spec := smallSpec(20)
+	spec.Dt1, spec.Dt2 = 3000, 18000
+	resp := postJSON(t, ts, "/jobs", spec)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d, want 202", resp.StatusCode)
+	}
+	id := decodeStatus(t, resp).ID
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		j, ok := s.Get(id)
+		if !ok {
+			t.Fatalf("job %s disappeared", id)
+		}
+		if j.Status().State.terminal() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timeout waiting for job %s to finish", id)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	resp, err := http.Get(ts.URL + "/jobs/" + id)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET job: %v status %d", err, resp.StatusCode)
+	}
+	got := decodeStatus(t, resp)
+	if v, ok := got.Diagnostics["all_finite"]; !ok || v != 0 {
+		t.Fatalf("diagnostics = %v, want all_finite 0", got.Diagnostics)
+	}
+	for k, v := range got.Diagnostics {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Errorf("diagnostic %s = %v, want non-finite values left out", k, v)
+		}
+	}
+	resp, err = http.Get(ts.URL + "/jobs")
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET jobs: %v status %d", err, resp.StatusCode)
 	}
 	resp.Body.Close()
 }

@@ -15,6 +15,7 @@ import (
 	"cadycore/internal/field"
 	"cadycore/internal/grid"
 	"cadycore/internal/physics"
+	"cadycore/internal/stencil"
 )
 
 // State is ξ on one rank's block.
@@ -94,31 +95,52 @@ func (s *State) F3s() []*field.F3 { return []*field.F3{s.U, s.V, s.Phi} }
 // F2s returns the 2-D components (p'_sa).
 func (s *State) F2s() []*field.F2 { return []*field.F2{s.Psa} }
 
-// FillLocalBounds refreshes every locally computable boundary cell:
-// periodic x halos (when the block owns full circles), vertical mirrors and
-// pole mirrors. Call after a halo exchange, and again after every local
-// update that touched the boundary-adjacent rows.
-func (s *State) FillLocalBounds() {
+// mirrorDepth is how many ghost layers past a pole or the model top/bottom
+// any kernel reads: the stencil tables' read radius, independent of the
+// (possibly much deeper) storage halo.
+var mirrorDepth = stencil.ReadRadius()
+
+// MirrorDepth returns the pole (y) and top/bottom (z) ghost depth the local
+// boundary fills keep current.
+func MirrorDepth() (dy, dz int) { return mirrorDepth.Y, mirrorDepth.Z }
+
+// FillLocalBounds refreshes the locally computable boundary cells of the
+// whole storage: FillLocalBoundsRect over every stored row. Call it after a
+// halo exchange and wherever the local ghosts may be stale relative to the
+// owned cells (step start, after a step hook or a resume).
+func (s *State) FillLocalBounds() { s.FillLocalBoundsRect(s.B.WithHalo()) }
+
+// FillLocalBoundsRect refreshes the local ghosts a stencil can read after
+// an update confined to rect r: the periodic x halos of the rows of r (when
+// the block owns full circles), then the vertical and pole mirrors within
+// MirrorDepth of the boundary. Rows outside r were not updated: their owned
+// cells are stale and no later sweep reads them, so their x halos, the
+// periodic images of those cells, may stay stale too. Mirror ghosts deeper
+// than MirrorDepth are never read.
+//
+//cadyvet:allocfree
+func (s *State) FillLocalBoundsRect(r field.Rect) {
 	if s.B.OwnsFullX() && s.B.Hx > 0 {
-		s.U.FillXPeriodic()
-		s.V.FillXPeriodic()
-		s.Phi.FillXPeriodic()
-		s.Psa.FillXPeriodic()
+		s.U.FillXPeriodicRows(r)
+		s.V.FillXPeriodicRows(r)
+		s.Phi.FillXPeriodicRows(r)
+		s.Psa.FillXPeriodicRows(r)
 	}
-	field.FillVerticalZ(s.U)
-	field.FillVerticalZ(s.V)
-	field.FillVerticalZ(s.Phi)
+	dy, dz := mirrorDepth.Y, mirrorDepth.Z
+	field.FillVerticalZ(s.U, dz)
+	field.FillVerticalZ(s.V, dz)
+	field.FillVerticalZ(s.Phi, dz)
 	if s.ShiftedPoles {
-		field.FillPolesYShifted(s.U, field.Odd, field.CenterY)
-		field.FillPolesYShifted(s.V, field.Odd, field.FaceY)
-		field.FillPolesYShifted(s.Phi, field.Even, field.CenterY)
-		field.FillPolesY2Shifted(s.Psa, field.Even)
+		field.FillPolesYShifted(s.U, field.Odd, field.CenterY, dy)
+		field.FillPolesYShifted(s.V, field.Odd, field.FaceY, dy)
+		field.FillPolesYShifted(s.Phi, field.Even, field.CenterY, dy)
+		field.FillPolesY2Shifted(s.Psa, field.Even, dy)
 		return
 	}
-	field.FillPolesY(s.U, field.Odd, field.CenterY)
-	field.FillPolesY(s.V, field.Odd, field.FaceY)
-	field.FillPolesY(s.Phi, field.Even, field.CenterY)
-	field.FillPolesY2(s.Psa, field.Even)
+	field.FillPolesY(s.U, field.Odd, field.CenterY, dy)
+	field.FillPolesY(s.V, field.Odd, field.FaceY, dy)
+	field.FillPolesY(s.Phi, field.Even, field.CenterY, dy)
+	field.FillPolesY2(s.Psa, field.Even, dy)
 }
 
 // MaxAbsDiff returns the largest componentwise difference over owned points

@@ -77,6 +77,15 @@ func RadiusOf(terms []Term) Radius {
 	return r
 }
 
+// ReadRadius returns the deepest offset, per direction, that any kernel
+// reads from a point it updates: the union of Tables 1–3. It is the
+// baseline halo width, and the number of ghost layers past a pole or the
+// model top/bottom that the local mirror fills must keep current — compute
+// regions never leave the global domain, so no stencil reaches further.
+func ReadRadius() Radius {
+	return Union(RadiusOf(Adaptation), RadiusOf(Advection), RadiusOf(Smoothing))
+}
+
 // Union returns the pointwise maximum of radii.
 //
 //cadyvet:allocfree

@@ -86,3 +86,9 @@ func TestDeepHaloArithmetic(t *testing.T) {
 		t.Errorf("deep halo for M=3: %+v, want Y=11 Z=9", deep)
 	}
 }
+
+func TestReadRadius(t *testing.T) {
+	if r := ReadRadius(); r != (Radius{X: 3, Y: 2, Z: 1}) {
+		t.Errorf("read radius = %+v, want {3 2 1}", r)
+	}
+}

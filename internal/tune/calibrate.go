@@ -126,7 +126,7 @@ func measureKernels(opt CalibrateOptions) KernelRates {
 	operators.CSum(g, nil, nil, divp, cres, blk.Owned(), 0, g.Nz)
 	cres.PWI.FillXPeriodic()
 	cres.DBar.FillXPeriodic()
-	field.FillPolesY(cres.PWI, field.Even, field.CenterY)
+	field.FillPolesY(cres.PWI, field.Even, field.CenterY, blk.Hy)
 	out := operators.NewTendency(blk)
 	acfg := operators.DefaultAdaptConfig()
 	sc := operators.NewAdvScratch(blk)
